@@ -44,9 +44,10 @@ class ExitPolicy:
     name = "base"
     #: Direction of the threshold comparison in ``should_exit``: "below"
     #: (exit when score < θ), "above" (exit when score > θ), or None (no
-    #: threshold — static).  Lets the serving engine evaluate a *per-request*
-    #: threshold against ``score()`` bitwise-identically to ``should_exit``
-    #: without mutating the shared policy object (docs/RESILIENCE.md).
+    #: threshold — static).  Lets the serving engine decide every row from
+    #: one ``score()`` pass against a per-row threshold (the live knob or a
+    #: request's stamped one), bitwise-identically to ``should_exit`` and
+    #: without mutating the shared policy object (docs/ARCHITECTURE.md).
     exit_when = None
 
     def should_exit(self, cumulative_logits: np.ndarray) -> np.ndarray:

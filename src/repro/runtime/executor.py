@@ -92,6 +92,11 @@ class PlanExecutor:
                 "event streams) are mutually exclusive stem strategies"
             )
         self._memo = stem_memo if plan.stem_len > 0 else None
+        # A cached-stem replay restores the stem registers, not the input
+        # frame; a post-stem op reading the frame keeps it needed every step.
+        self._frame_read_after_stem = any(
+            0 in op.reads for op in plan.ops[plan.stem_len:]
+        )
         self._membranes: List[Optional[np.ndarray]] = [None] * plan.num_lif
         self._stem: Optional[Dict[int, np.ndarray]] = None
         self._registers: List[Optional[np.ndarray]] = [None] * plan.num_registers
@@ -109,6 +114,26 @@ class PlanExecutor:
     @property
     def stem_memo(self) -> Optional[StemCache]:
         return self._memo
+
+    def needs_frame(self, rows: int) -> bool:
+        """Whether a ``rows``-wide :meth:`step` reads its input frame.
+
+        False when the aligned stem rows cover all ``rows`` rows and no
+        post-stem op reads the frame: the step then replays the stem, and
+        the caller may pass ``frame=None`` instead of stacking and encoding
+        its inputs.  Under direct encoding that is every step except the
+        first one after construction, :meth:`reset_state` or
+        :meth:`invalidate_stem`.
+        """
+        return self._frame_read_after_stem or not self._stem_covers(rows)
+
+    def _stem_covers(self, rows: int) -> bool:
+        stem = self._stem
+        return (
+            self.stem_enabled
+            and stem is not None
+            and all(value.shape[0] == rows for value in stem.values())
+        )
 
     # ------------------------------------------------------------------ #
     # State management (mirrors SpikingNetwork's per-row surgery)
@@ -283,10 +308,11 @@ class PlanExecutor:
             assembled[reg] = out
         return assembled
 
-    def step(self, frame: np.ndarray,
+    def step(self, frame: Optional[np.ndarray],
              stem_keys: Optional[Sequence[bytes]] = None) -> np.ndarray:
         """Advance one timestep; returns the classifier logits.
 
+        ``frame`` may be ``None`` only when :meth:`needs_frame` said so.
         ``stem_keys`` (one key of frame-row bytes per batch row) routes the
         stateless prefix through the content-keyed stem memo when one is
         attached — the event-stream counterpart of the aligned direct-
@@ -306,15 +332,10 @@ class PlanExecutor:
         registers[0] = frame
         start = 0
         if self.stem_enabled:
-            stem = self._stem
-            rows = frame.shape[0]
-            if stem is not None and all(v.shape[0] == rows for v in stem.values()):
-                for reg, value in stem.items():
-                    registers[reg] = value
-            else:
+            if frame is not None and not self._stem_covers(frame.shape[0]):
                 self._stem = self._run_stem(frame, scratch=self._scratch)
-                for reg, value in self._stem.items():
-                    registers[reg] = value
+            for reg, value in self._stem.items():
+                registers[reg] = value
             start = plan.stem_len
         elif self._memo is not None and stem_keys is not None:
             for reg, value in self._memo_stem(frame, stem_keys).items():

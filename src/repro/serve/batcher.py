@@ -13,7 +13,7 @@ DT-SNN's average-timestep reduction turns into requests/second.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.accounting import InferenceCostModel
 from .controller import AdaptiveThresholdController
@@ -109,6 +109,9 @@ class ContinuousBatcher:
         # request co-drained with the round); their futures were failed but
         # the worker kept serving.
         self.rejected_rounds = 0
+        # exit timestep -> (energy, edp), priced on first use: the cost model
+        # is a pure function of the exit timestep while the server runs.
+        self._prices: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
     def _fill_slots(self, wait_timeout: Optional[float] = None) -> int:
@@ -174,8 +177,13 @@ class ContinuousBatcher:
     def _complete(self, finished) -> List[RequestResult]:
         now = self.clock()
         results: List[RequestResult] = []
+        prices = self._prices
         for sample in finished:
-            energy, edp = price_request(self.cost_model, sample.exit_timestep)
+            price = prices.get(sample.exit_timestep)
+            if price is None:
+                price = prices[sample.exit_timestep] = price_request(
+                    self.cost_model, sample.exit_timestep)
+            energy, edp = price
             result = RequestResult(
                 request_id=sample.request.request_id,
                 prediction=sample.prediction,
@@ -195,10 +203,12 @@ class ContinuousBatcher:
             results.append(result)
             # Observability first, future last: a trace/span consumer that
             # reacts to the resolved future must already see this request.
+            # The fresh clock read makes the span's completion stage cover
+            # pricing, the WAL write and the hand-off since the exit.
             if self.trace is not None:
                 self.trace.record_request(sample.request, result)
             if self.spans is not None:
-                self.spans.record_result(result, now)
+                self.spans.record_result(result, self.clock())
             finalize_result(result, sample.response, self.telemetry, self.controller)
         return results
 

@@ -87,6 +87,10 @@ class _Slot:
     # once at admission (see _intern_stem_key).  None when the engine does
     # not intern (no memo, or the encoder lacks a frame_index rule).
     stem_key: Optional[bytes] = None
+    # The request's stamped knobs, resolved once at admission: a stamped
+    # threshold (None runs under the live policy knob) and the timestep cap.
+    threshold: Optional[float] = None
+    horizon: int = 0
 
 
 class InferenceEngine:
@@ -267,12 +271,22 @@ class InferenceEngine:
             raise rejection
         self._sample_shape = expected
         for (request, response, start_time), stem_key in zip(admissions, stem_keys):
+            epoch = request.epoch
+            threshold = None
+            horizon = self.max_timesteps
+            if epoch is not None:
+                if epoch.threshold is not None:
+                    threshold = float(epoch.threshold)
+                if epoch.horizon is not None:
+                    horizon = min(horizon, int(epoch.horizon))
             self._slots.append(
                 _Slot(
                     request=request,
                     response=response,
                     start_time=start_time,
                     stem_key=stem_key,
+                    threshold=threshold,
+                    horizon=horizon,
                 )
             )
         if self._executor is not None:
@@ -371,60 +385,67 @@ class InferenceEngine:
             frames[rows] = frame
         return Tensor(frames)
 
-    def step(self) -> List[CompletedSample]:
-        """Advance all occupied slots one timestep; return completed requests."""
-        if not self._slots:
-            return []
-        inputs = np.stack([slot.request.inputs for slot in self._slots]).astype(
+    def _forward(self) -> np.ndarray:
+        """Run one SNN timestep over every occupied slot; return the logits."""
+        slots = self._slots
+        executor = self._executor
+        if executor is not None and not executor.needs_frame(len(slots)):
+            # Direct encoding with aligned stem rows for every slot: the
+            # executor replays them, so the inputs are not stacked or encoded.
+            return executor.step(None)
+        inputs = np.stack([slot.request.inputs for slot in slots]).astype(
             np.float32, copy=False
         )
-        local_ts = np.array([slot.local_t for slot in self._slots], dtype=np.int64)
-
+        local_ts = np.array([slot.local_t for slot in slots], dtype=np.int64)
         with no_grad():
             frame = self._encode(inputs, local_ts)
-            if self._executor is not None:
-                stem_keys = None
-                if self._intern_keys:
-                    # Content-keyed stem memo (event streams) with interned
-                    # keys: each slot's clip was digested once at admission,
-                    # so the per-step key is that digest plus the encoder's
-                    # recorded-frame index — no frame-byte copies on the hot
-                    # path.  Replayed clips hit rows cached by earlier
-                    # requests — on this engine or on any replica sharing
-                    # the plan — and padded tail frames (min(t, T-1)) dedupe
-                    # for free through the shared frame index.
-                    encoder = self.model.encoder
-                    stem_keys = [
-                        slot.stem_key
-                        + encoder.frame_index(
-                            slot.request.inputs.shape[0], slot.local_t
-                        ).to_bytes(4, "little")
-                        for slot in self._slots
-                    ]
-                elif self._executor.memo_enabled:
-                    # Fallback for memo-capable encoders without a
-                    # frame_index rule: key on the exact bytes of each
-                    # slot's encoded frame, prefixed with its shape+dtype
-                    # (raw bytes alone would let two all-zero frames of
-                    # transposed resolutions collide).
-                    data = frame.data
-                    header = repr((data.shape[1:], data.dtype.str)).encode()
-                    stem_keys = [
-                        header + data[row].tobytes() for row in range(data.shape[0])
-                    ]
-                logits = self._executor.step(frame.data, stem_keys=stem_keys)
-            else:
-                spikes = self.model.features(frame)
-                logits = self.model.classifier(spikes).data
+            if executor is None:
+                return self.model.classifier(self.model.features(frame)).data
+            stem_keys = None
+            if self._intern_keys:
+                # Content-keyed stem memo (event streams) with interned
+                # keys: each slot's clip was digested once at admission,
+                # so the per-step key is that digest plus the encoder's
+                # recorded-frame index — no frame-byte copies on the hot
+                # path.  Replayed clips hit rows cached by earlier
+                # requests — on this engine or on any replica sharing
+                # the plan — and padded tail frames (min(t, T-1)) dedupe
+                # for free through the shared frame index.
+                encoder = self.model.encoder
+                stem_keys = [
+                    slot.stem_key
+                    + encoder.frame_index(
+                        slot.request.inputs.shape[0], slot.local_t
+                    ).to_bytes(4, "little")
+                    for slot in slots
+                ]
+            elif executor.memo_enabled:
+                # Fallback for memo-capable encoders without a
+                # frame_index rule: key on the exact bytes of each
+                # slot's encoded frame, prefixed with its shape+dtype
+                # (raw bytes alone would let two all-zero frames of
+                # transposed resolutions collide).
+                data = frame.data
+                header = repr((data.shape[1:], data.dtype.str)).encode()
+                stem_keys = [
+                    header + data[row].tobytes() for row in range(data.shape[0])
+                ]
+            return executor.step(frame.data, stem_keys=stem_keys)
 
+    def step(self) -> List[CompletedSample]:
+        """Advance all occupied slots one timestep; return completed requests."""
+        slots = self._slots
+        if not slots:
+            return []
+        logits = self._forward()
         if self._running_sum is None:
             self._running_sum = np.zeros_like(logits)
         self._running_sum = self._running_sum + logits
-        horizon_used = local_ts + 1
+        horizon_used = np.array([slot.local_t + 1 for slot in slots], dtype=np.int64)
         cumulative = self._running_sum / horizon_used[:, None].astype(self._running_sum.dtype)
 
         # Per-slot effective knobs.  The live policy threshold is read ONCE,
-        # up front — the PR 5 bug was reading it again after should_exit, so
+        # up front — the PR 5 bug was reading it again after the decision, so
         # a concurrent controller nudge landed between the decision and the
         # record.  A slot carrying a ThresholdEpoch runs under its *stamped*
         # threshold/horizon instead of the live knob (brown-out, replay
@@ -432,57 +453,41 @@ class InferenceEngine:
         live_threshold = getattr(self.policy, "threshold", None)
         if live_threshold is not None:
             live_threshold = float(live_threshold)
-        thresholds: List[Optional[float]] = []
-        horizons = np.empty(len(self._slots), dtype=np.int64)
-        heterogeneous = False
-        for index, slot in enumerate(self._slots):
-            epoch = slot.request.epoch
-            slot_threshold = live_threshold
-            slot_horizon = self.max_timesteps
-            if epoch is not None:
-                if epoch.threshold is not None:
-                    slot_threshold = float(epoch.threshold)
-                if epoch.horizon is not None:
-                    slot_horizon = min(slot_horizon, int(epoch.horizon))
-            thresholds.append(slot_threshold)
-            horizons[index] = slot_horizon
-            if slot_threshold != live_threshold or slot_horizon != self.max_timesteps:
-                heterogeneous = True
+        thresholds = [
+            live_threshold if slot.threshold is None else slot.threshold
+            for slot in slots
+        ]
+        horizons = np.array([slot.horizon for slot in slots], dtype=np.int64)
 
-        policy_mask = self.policy.should_exit(cumulative)
-        if heterogeneous:
-            direction = getattr(self.policy, "exit_when", None)
-            override = np.array(
-                [t is not None and t != live_threshold for t in thresholds],
-                dtype=bool,
-            )
-            if override.any() and direction in ("below", "above"):
-                # Evaluate overridden rows against their stamped thresholds
-                # via score(); casting the threshold array to the score dtype
-                # reproduces the weak-scalar comparison should_exit performs
-                # with a live float knob, so a pinned row decides bitwise
-                # identically to an engine whose live threshold equals the pin.
-                scores_all = np.asarray(self.policy.score(cumulative))
-                threshold_array = np.asarray(
-                    [0.0 if t is None else t for t in thresholds],
-                    dtype=scores_all.dtype,
-                )
-                if direction == "below":
-                    stamped_mask = scores_all < threshold_array
-                else:
-                    stamped_mask = scores_all > threshold_array
-                policy_mask = np.where(override, stamped_mask, policy_mask)
+        direction = getattr(self.policy, "exit_when", None)
+        if direction in ("below", "above") and live_threshold is not None:
+            # One score pass decides every row and supplies the exiting rows'
+            # recorded scores.  Casting the per-row thresholds to the score
+            # dtype reproduces the weak-scalar comparison should_exit makes
+            # with a live float knob, so every row (live or stamped) decides
+            # bitwise identically to should_exit under its own threshold.
+            scores = np.asarray(self.policy.score(cumulative))
+            limits = np.asarray(thresholds, dtype=scores.dtype)
+            policy_mask = scores < limits if direction == "below" else scores > limits
+        else:
+            # No threshold rule to evaluate per row (static, custom policies).
+            scores = None
+            policy_mask = self.policy.should_exit(cumulative)
         exit_now = policy_mask | (horizon_used >= horizons)
         self.total_steps += 1
-        self.total_sample_timesteps += len(self._slots)
+        self.total_sample_timesteps += len(slots)
 
         completed: List[CompletedSample] = []
         if exit_now.any():
-            exit_rows = np.where(exit_now)[0]
+            exit_rows = np.flatnonzero(exit_now)
             predictions = np.argmax(cumulative[exit_rows], axis=-1)
-            scores = np.asarray(self.policy.score(cumulative[exit_rows]), dtype=np.float64)  # dtype-ok: decision-side score bookkeeping is sanctioned float64 (Server contract)
-            for row, prediction, score in zip(exit_rows, predictions, scores):
-                slot = self._slots[row]
+            exit_scores = (
+                self.policy.score(cumulative[exit_rows]) if scores is None
+                else scores[exit_rows]
+            )
+            exit_scores = np.asarray(exit_scores, dtype=np.float64)  # dtype-ok: decision-side score bookkeeping is sanctioned float64 (Server contract)
+            for row, prediction, score in zip(exit_rows, predictions, exit_scores):
+                slot = slots[row]
                 epoch = slot.request.epoch
                 completed.append(
                     CompletedSample(
@@ -495,17 +500,17 @@ class InferenceEngine:
                         start_time=slot.start_time,
                         epoch=None if epoch is None else epoch.epoch,
                         brownout=False if epoch is None else epoch.brownout,
-                        horizon=int(horizons[row]),
+                        horizon=slot.horizon,
                     )
                 )
             keep = ~exit_now
-            self._slots = [slot for slot, k in zip(self._slots, keep) if k]
+            self._slots = slots = [slot for slot, k in zip(slots, keep) if k]
             self._running_sum = self._running_sum[keep]
             if self._executor is not None:
                 self._executor.compact_rows(keep)
             else:
                 self.model.compact_state(keep)
 
-        for slot in self._slots:
+        for slot in slots:
             slot.local_t += 1
         return completed

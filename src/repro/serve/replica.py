@@ -394,6 +394,9 @@ class ReplicaPool:
         if self.window < 1:
             raise ValueError("inflight_window must be >= 1")
         self.cost_model = cost_model
+        # exit timestep -> (energy, edp), priced on first use by the
+        # collector (the cost model is a pure function of the timestep).
+        self._prices: Dict[int, tuple] = {}
         self.controller = controller
         self.clock = clock
         self.use_runtime = use_runtime
@@ -1009,15 +1012,17 @@ class ReplicaPool:
         if entry is None:
             return
         request, response = entry
-        energy, edp = price_request(self.cost_model, exit_timestep)
         # Timestamps stay in the server's (injectable) clock domain: the
         # replica's absolute times live on a different process's clock, so
-        # only its service *duration* crosses the boundary.  Completion is
-        # stamped here — which is also the honest end-to-end finish time,
-        # since no client can observe a result before this thread resolves
-        # the future.
+        # only its service *duration* crosses the boundary.  The finish time
+        # is stamped when this thread picks the completion up.
         finish_time = self.clock()
         start_time = finish_time - max(0.0, finish_t - start_t)
+        price = self._prices.get(exit_timestep)
+        if price is None:
+            price = self._prices[exit_timestep] = price_request(
+                self.cost_model, exit_timestep)
+        energy, edp = price
         result = RequestResult(
             request_id=request_id,
             prediction=prediction,
@@ -1034,10 +1039,12 @@ class ReplicaPool:
             brownout=brownout,
             horizon=horizon,
         )
+        # Observability first, future last; the fresh clock read makes the
+        # span's completion stage cover pricing and the WAL write.
         if self.trace is not None:
             self.trace.record_request(request, result)
         if self.spans is not None:
-            self.spans.record_result(result, finish_time)
+            self.spans.record_result(result, self.clock())
         finalize_result(result, response, self.telemetry, self.controller)
 
     # ------------------------------------------------------------------ #

@@ -154,10 +154,11 @@ class Trace:
 
 
 def _encode_line(payload: Dict[str, Any]) -> str:
+    """One WAL line: the canonical payload with its CRC appended as the last
+    key (the reader pops ``crc`` by name, so its position is not significant)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     crc = zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
-    return json.dumps({**payload, "crc": crc}, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return f'{canonical[:-1]},"crc":{crc}}}\n'
 
 
 def _decode_line(line: str) -> Optional[Dict[str, Any]]:

@@ -252,9 +252,9 @@ class TestAdmissionCostRegression:
         batcher.run_once()
 
         assert extension_rounds == [burst]
-        # run_once = one admission-time stem encode for the whole burst plus
-        # one step-time batch encode; per-request admission encodes are gone.
-        assert encoder.calls - encoder_calls_before == 2
+        # run_once = one admission-time stem encode for the whole burst; the
+        # step replays the aligned stem rows and encodes nothing.
+        assert encoder.calls - encoder_calls_before == 1
 
 
 class TestAlignedStemPrecondition:

@@ -157,6 +157,35 @@ class TestSpans:
         assert summary["total"]["count"] == float(len(xs))
         assert summary["service"]["p95"] >= 0.0
 
+    @pytest.mark.parametrize("num_replicas", [0, 1], ids=["thread", "replica"])
+    def test_completion_stage_is_read_after_the_bookkeeping(self, num_replicas):
+        """``completed`` is a fresh clock read taken after pricing and the
+        WAL write, not a copy of the exit stamp: under a ticking fake clock
+        the completion stage is > 0 for every request."""
+        model = _model()
+        xs = _inputs(8)
+        clock = TickingClock()
+        spans = SpanTracker()
+        server = Server(
+            model, EntropyExitPolicy(0.5), max_timesteps=TIMESTEPS,
+            batch_width=3, queue_capacity=len(xs), num_replicas=num_replicas,
+            use_runtime=True, clock=clock, spans=spans,
+        ).start()
+        try:
+            for future in [server.submit(x) for x in xs]:
+                future.result(timeout=60.0)
+        finally:
+            server.shutdown(drain=True)
+        tracked = spans.spans()
+        assert len(tracked) == len(xs)
+        for span in tracked:
+            assert span.duration("exited", "completed") > 0.0, span
+            if not num_replicas:
+                # Replica service durations come from another process's
+                # real clock, so only thread-mode spans share the fake one.
+                assert span.monotone, span
+        assert spans.summary()["completion"]["count"] == float(len(xs))
+
     def test_merge_state_unions_disjoint_request_ids(self):
         parts = [SpanTracker() for _ in range(3)]
         pooled = SpanTracker()

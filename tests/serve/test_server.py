@@ -1,5 +1,6 @@
 """Server front-end: futures, backpressure, graceful drain, shutdown."""
 
+import threading
 import time
 
 import numpy as np
@@ -22,9 +23,10 @@ class SlowPolicy(EntropyExitPolicy):
         super().__init__(threshold=threshold)
         self.delay = delay
 
-    def should_exit(self, cumulative_logits):
+    def score(self, cumulative_logits):
+        # score() is the engine's one exit-check call per step.
         time.sleep(self.delay)
-        return super().should_exit(cumulative_logits)
+        return super().score(cumulative_logits)
 
 
 class TestServerLifecycle:
@@ -132,23 +134,32 @@ class TestLoadGenerator:
 
 
 class TestWorkerCrash:
-    # The worker intentionally re-raises after failing its futures so the
-    # crash is visible on stderr; pytest flags that re-raise as unhandled.
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_crashed_worker_fails_futures_and_closes_server(
         self, trained_model, tiny_dataset
     ):
         _, test = tiny_dataset
-        server = Server(trained_model, EntropyExitPolicy(0.5), batch_width=2).start()
-        # Wrong sample shape: the conv forward raises inside the worker.
-        bad = server.submit(np.zeros((3, 3), dtype=np.float32))
-        with pytest.raises(Exception):
-            bad.result(timeout=10.0)
-        # The worker fail-stops: admissions close and later submits are refused
-        # instead of hanging forever.
-        deadline = time.monotonic() + 5.0
-        while not server.queue.closed and time.monotonic() < deadline:
-            time.sleep(0.01)
+        # The worker deliberately re-raises after failing its futures, so the
+        # crash reaches threading.excepthook.  Capture it here and join the
+        # worker before restoring the hook: the exception is asserted, not
+        # left to surface in whichever test runs next.
+        crashes = []
+        previous_hook = threading.excepthook
+        threading.excepthook = crashes.append
+        try:
+            server = Server(trained_model, EntropyExitPolicy(0.5), batch_width=2).start()
+            # Wrong sample shape: the conv forward raises inside the worker.
+            bad = server.submit(np.zeros((3, 3), dtype=np.float32))
+            with pytest.raises(ServerClosedError):
+                bad.result(timeout=10.0)
+            # The worker fail-stops: admissions close and later submits are
+            # refused instead of hanging forever.
+            for thread in server._threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in server._threads)
+        finally:
+            threading.excepthook = previous_hook
+        assert [crash.thread.name for crash in crashes] == ["repro-serve-0"]
+        assert issubclass(crashes[0].exc_type, ValueError)
         assert server.queue.closed
         with pytest.raises(ServerClosedError):
             server.submit(test.inputs[0])

@@ -21,6 +21,10 @@ storm and backtest suites).
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -144,13 +148,37 @@ class TestWalRecovery:
             r.request_id for r in trace.records
         ]
 
+    def test_crc_position_in_a_line_is_not_significant(self, tmp_path,
+                                                       served_model,
+                                                       make_clips,
+                                                       record_trace):
+        """A WAL with ``crc`` appended last (as written now) and one with
+        ``crc`` sorted among the keys (the earlier layout) load alike."""
+        trace, path = self._recorded(tmp_path, served_model, make_clips,
+                                     record_trace)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert all(list(json.loads(line))[-1] == "crc" for line in lines)
+        old_path = tmp_path / "old.jsonl"
+        with open(old_path, "w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(json.dumps(json.loads(line), sort_keys=True,
+                                        separators=(",", ":")) + "\n")
+        shutil.copyfile(str(path) + ".clips", str(old_path) + ".clips")
+        for loaded in (load_trace(str(path)), load_trace(str(old_path))):
+            assert not loaded.truncated
+            assert loaded.header == trace.header
+            assert loaded.records == trace.records
+            assert loaded.clips.keys() == trace.clips.keys()
+
     def test_corrupt_crc_ends_the_scan_at_the_bad_line(self, tmp_path,
                                                        served_model,
                                                        make_clips,
                                                        record_trace):
         _, path = self._recorded(tmp_path, served_model, make_clips,
                                  record_trace)
-        lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines(keepends=True)
         # Flip payload bytes in the 4th line (header + 3 records survive).
         lines[4] = lines[4].replace('"kind":"request"', '"kind":"requesX"')
         with open(path, "w", encoding="utf-8") as handle:
@@ -165,7 +193,7 @@ class TestWalRecovery:
         trace, path = self._recorded(tmp_path, served_model, make_clips,
                                      record_trace)
         clips_path = str(path) + ".clips"
-        size = len(open(clips_path, "rb").read())
+        size = os.path.getsize(clips_path)
         with open(clips_path, "rb+") as handle:
             handle.truncate(size - 37)  # tear the last frame mid-payload
         recovered = load_trace(str(path))
